@@ -56,22 +56,19 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    pre-JVM-launch). The per-session configs come from
+    :func:`repro.session.get_spark`, the builder the jobs use: shuffle
+    partitions sized to the default parallelism, Arrow on, and broadcast
+    joins off. Broadcast stays off because it was measured not to pay:
+    on the Q1 update benchmark a 10 MB threshold raised CPU per record
+    by ~40 % and process memory by ~180 MB, the JVM keeping the
+    broadcast relations on its heap (DESIGN.md § 7).
     """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    # imported here so suites that never start Spark (perfbench's helper
+    # tests) load this file without ``src`` on the path
+    from repro.session import get_spark
+
+    s = get_spark("repro")
     # One line in test_output.txt that tells the driver whether the
     # cgroup derivation saw the real limit (README § Spark target).
     print(

@@ -1,8 +1,9 @@
 """Shared wrapper for the per-table spark-submit entrypoints.
 
-Each ``jobs/figNN_*.py`` builds (or reuses) a local SparkSession with the
-same per-session configs as the test fixture, runs its table harness,
-prints the table, and saves ``results/<name>.{md,csv}``.
+Each ``jobs/figNN_*.py`` builds (or reuses) a local SparkSession through
+:func:`repro.session.get_spark`, the builder the test fixture also uses,
+runs its table harness, prints the table, and saves
+``results/<name>.{md,csv}``.
 """
 import argparse
 import os
@@ -19,7 +20,8 @@ os.environ.setdefault(
     "pyspark-shell",
 )
 
-from pyspark.sql import SparkSession  # noqa: E402
+# re-exported: the figure jobs and perfbench/run.py call _common.get_spark
+from repro.session import get_spark  # noqa: E402,F401
 
 
 def parse_args(description: str) -> argparse.Namespace:
@@ -29,16 +31,3 @@ def parse_args(description: str) -> argparse.Namespace:
         help="reduced volumes (the pytest-benchmark configuration)",
     )
     return ap.parse_args()
-
-
-def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )

@@ -50,6 +50,16 @@ class PassivePartitionHolder:
             self._closed.set()
             self._q.put(EOF)
 
+    def cancel(self) -> None:
+        """Consumer failed: close without EOF and drop queued frames, so a
+        producer blocked in :meth:`put` returns and its next put raises."""
+        self._closed.set()
+        while True:
+            try:
+                self._q.get_nowait()
+            except queue.Empty:
+                return
+
     @property
     def depth(self) -> int:
         return self._q.qsize()
@@ -73,27 +83,36 @@ class ActivePartitionHolder:
         self._thread.start()
 
     def _run(self) -> None:
-        while True:
-            frame = self._q.get()
-            if frame is EOF:
-                return
+        # After a downstream failure keep taking (and dropping) frames
+        # until EOF, so neither push nor close_and_join blocks on a full
+        # queue that nobody drains.
+        while (frame := self._q.get()) is not EOF:
+            if self._error is not None:
+                continue
             try:
                 self.downstream(frame)
                 self.forwarded += 1
-            except BaseException as e:  # surfaced on join()
+            except Exception as e:  # surfaced on push and close_and_join
                 self._error = e
-                return
 
     def push(self, frame, timeout: float | None = None) -> None:
         if self._error is not None:
             raise RuntimeError("downstream failed") from self._error
         self._q.put(frame, timeout=timeout)
 
-    def close_and_join(self, timeout: float | None = 30.0) -> None:
-        self._q.put(EOF)
+    def close_and_join(self, timeout: float = 30.0) -> None:
+        """Append EOF and wait, at most ``timeout`` s per step, for the
+        consumer to forward what is queued; raise if it failed or hung."""
+        try:
+            self._q.put(EOF, timeout=timeout)
+        except queue.Full:
+            raise TimeoutError(
+                f"holder {self.holder_id}: downstream did not drain") from None
         self._thread.join(timeout=timeout)
         if self._error is not None:
             raise RuntimeError("downstream failed") from self._error
+        if self._thread.is_alive():
+            raise TimeoutError(f"holder {self.holder_id}: downstream hung")
 
     @property
     def depth(self) -> int:

@@ -18,6 +18,7 @@ Three concurrently running layers joined by partition holders:
 Intake and storage run for the feed's lifetime; computing jobs are per
 batch. Bounded holders give real back-pressure both ways.
 """
+import contextlib
 import threading
 import time
 from dataclasses import dataclass
@@ -61,6 +62,8 @@ class DecoupledPipeline:
     def run(self, n_records: int, batch_size: int = BATCH_1X) -> PipelineStats:
         adapter = TweetAdapter(seed=self.seed)
         parser = TweetParser()
+        # predeploy the computing job before the feed starts (§ 6.1)
+        invoke = self._computing_job()
 
         intake_holder = PassivePartitionHolder(
             "intake", capacity=self.holder_capacity
@@ -85,32 +88,41 @@ class DecoupledPipeline:
 
         intake = threading.Thread(target=intake_job, name="intake-job")
 
-        # predeploy the computing job before the feed starts (§ 6.1)
-        invoke = self._computing_job()
-
         times = []
         t0 = time.perf_counter()
         intake.start()
-        # Active Feed Manager loop: one computing job at a time per feed
-        while True:
-            frame = intake_holder.take(timeout=1.0)
-            if frame is None:
-                continue
-            if frame is EOF:
-                break
-            b0 = time.perf_counter()
-            batch = parser.parse(frame)
-            out = invoke(batch)
-            storage_holder.push(out)
-            times.append(time.perf_counter() - b0)
-        intake.join(timeout=30)
-        storage_holder.close_and_join()
-        elapsed = time.perf_counter() - t0
+        try:
+            # Active Feed Manager loop: one computing job at a time per feed
+            while True:
+                frame = intake_holder.take(timeout=1.0)
+                if frame is None:
+                    continue
+                if frame is EOF:
+                    break
+                b0 = time.perf_counter()
+                batch = parser.parse(frame)
+                out = invoke(batch)
+                storage_holder.push(out)
+                times.append(time.perf_counter() - b0)
+        except BaseException:
+            # A failed computing job stops the feed: unblock the intake
+            # job, let the storage job forward what it holds, then
+            # surface the computing job's error, not the shutdown's.
+            intake_holder.cancel()
+            intake.join(timeout=30)
+            with contextlib.suppress(RuntimeError, TimeoutError):
+                storage_holder.close_and_join()
+            raise
+        else:
+            intake.join(timeout=30)
+            storage_holder.close_and_join()
+            elapsed = time.perf_counter() - t0
+        finally:
+            self.manager.unregister("intake")
+            self.manager.unregister("storage")
         if intake_error:
             raise RuntimeError("intake job failed") from intake_error[0]
 
-        self.manager.unregister("intake")
-        self.manager.unregister("storage")
         name = "none" if self.udf is None else self.udf.name
         report = IngestReport(
             "dynamic-decoupled", name, n_records, batch_size, elapsed, times

@@ -19,7 +19,7 @@ This store reproduces that mechanism honestly rather than modelling it:
   version — real extra work per computing job, growing with the number
   of buffered updates;
 * ``flush`` migrates the memory component to a new disk component
-  (LSM flush), resetting read amplification.
+  (LSM flush); with no compaction, reads still merge every component.
 
 Record-level consistency matches the paper's footnote 4: a computing
 job sees all updates applied before its ``snapshot`` call; later
@@ -57,16 +57,28 @@ class LsmStore:
         self._write_component(spark, pdf.assign(_v=next(self._seq)))
 
     def upsert(self, pdf: pd.DataFrame) -> None:
-        """Insert-or-replace by primary key into the memory component."""
+        """Insert-or-replace by primary key into the memory component.
+
+        Rows of one call share a version, so a key repeated within the
+        call keeps its last row, as if the rows were upserted in order.
+        """
+        pdf = pdf.drop_duplicates(self.key, keep="last")
         with self._lock:
             self._mem.append(pdf.assign(_v=next(self._seq)))
 
     def flush(self, spark: SparkSession) -> None:
-        """LSM flush: memory component becomes a new disk component."""
+        """LSM flush: memory component becomes a new disk component.
+
+        The flushed component holds each key once, its newest version.
+        It is still one more component to merge on every read: this store
+        has no compaction, so read amplification only grows.
+        """
         with self._lock:
             mem, self._mem = self._mem, []
         if mem:
-            self._write_component(spark, pd.concat(mem, ignore_index=True))
+            merged = pd.concat(mem, ignore_index=True)
+            self._write_component(
+                spark, merged.drop_duplicates(self.key, keep="last"))
 
     def _write_component(self, spark: SparkSession, pdf: pd.DataFrame) -> None:
         comp = os.path.join(self.path, f"component-{next(self._component_id):05d}")
@@ -88,10 +100,10 @@ class LsmStore:
     def snapshot(self, spark: SparkSession) -> DataFrame:
         """Merged, deduplicated view of all components as of this call.
 
-        The newest-wins merge (window over ``_v``) only kicks in when
-        more than one component exists — a quiescent store reads at
-        plain scan cost, an updated one pays the merge, which is the
-        paper's § 7.3 effect.
+        The newest-wins merge (window over ``_v``) only kicks in when a
+        key can have more than one version — a quiescent store reads at
+        plain scan cost, an updated one pays the merge's shuffle, which
+        is the paper's § 7.3 effect.
         """
         with self._lock:
             mem = list(self._mem)
@@ -104,19 +116,21 @@ class LsmStore:
         merged = parts[0]
         for p in parts[1:]:
             merged = merged.unionByName(p)
-        if len(parts) > 1:
+        # every component and every upsert holds a key at most once
+        if len(disk) + len(mem) > 1:
             w = Window.partitionBy(self.key).orderBy(F.col("_v").desc())
             merged = (
                 merged.withColumn("_rank", F.row_number().over(w))
                 .where(F.col("_rank") == 1)
                 .drop("_rank")
             )
-        # Fixed output width: a small parquet component reads as 1–2
-        # partitions while the post-merge path is shuffle-partitioned,
-        # which would make downstream join parallelism depend on whether
-        # updates happened to exist. Equalizing it keeps the measured
-        # § 7.3 effect to the genuine extra merge work above.
-        return merged.drop("_v").repartition(16)
+        # No fixed output width. A quiescent store reads as its parquet
+        # scan's 1–2 partitions; a merged one comes out of the window's
+        # shuffle at ``spark.sql.shuffle.partitions`` (the session's task
+        # slots), which AQE may coalesce. Forcing one width cost every
+        # store an extra shuffle in every batch, and fanned Q7's
+        # reference cross joins out to 16 × 16 tasks.
+        return merged.drop("_v")
 
     def snapshot_pdf(self, spark: SparkSession) -> pd.DataFrame:
         """Pandas view of :meth:`snapshot` — the Java-UDF resource-file path."""

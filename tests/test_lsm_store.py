@@ -1,4 +1,7 @@
 """LSM reference store: component life-cycle and merge semantics."""
+import re
+
+import numpy as np
 import pandas as pd
 import pytest
 
@@ -120,3 +123,65 @@ def test_build_stores(spark, tmp_path):
     assert set(stores) == {"t1", "t2"}
     assert stores["t1"].snapshot(spark).count() == 2
     assert stores["t2"].key == "b"
+
+
+def _exchanges(df) -> list[str]:
+    """Shuffle exchanges in the plan ``df`` executed (AQE's final plan)."""
+    df.collect()
+    plan = df._jdf.queryExecution().executedPlan()
+    if plan.getClass().getSimpleName() == "AdaptiveSparkPlanExec":
+        plan = plan.executedPlan()
+    return re.findall(r"^[\s+\-:*|]*(Exchange .*)$", plan.toString(), re.M)
+
+
+def test_snapshot_plan_single_component_has_no_shuffle(spark, tmp_path, base_pdf):
+    """A quiescent store reads as a bare parquet scan: no fixed-width
+    repartition on every reference read."""
+    store = LsmStore(str(tmp_path / "s"), key="k")
+    store.bulk_load(spark, base_pdf)
+    assert _exchanges(store.snapshot(spark)) == []
+
+
+def test_snapshot_plan_memory_component_has_one_shuffle(spark, tmp_path, base_pdf):
+    """With a memory component the only shuffle is the newest-wins window's."""
+    store = LsmStore(str(tmp_path / "s"), key="k")
+    store.bulk_load(spark, base_pdf)
+    store.upsert(pd.DataFrame({"k": ["a"], "val": ["x"]}))
+    (exchange,) = _exchanges(store.snapshot(spark))
+    assert exchange.startswith("Exchange hashpartitioning(k#")
+
+
+def test_same_key_rows_in_one_upsert_last_wins(spark, tmp_path, base_pdf):
+    store = LsmStore(str(tmp_path / "s"), key="k")
+    store.bulk_load(spark, base_pdf)
+    store.upsert(pd.DataFrame({"k": ["a", "b", "a"], "val": ["x", "y", "z"]}))
+    assert store.buffered_updates == 2
+    got = _snap(store, spark)
+    assert list(got["val"]) == ["z", "y", "3"]
+
+
+@pytest.mark.parametrize("bulk_load", [True, False])
+def test_snapshot_matches_dict_model(spark, tmp_path, bulk_load):
+    """Newest-wins against a plain dict across bulk load, upserts that
+    repeat keys within and across calls, and flushes."""
+    rng = np.random.default_rng(11)
+    keys = [f"k{i:02d}" for i in range(10)]
+    store = LsmStore(str(tmp_path / "s"), key="k")
+    model = {}
+    if bulk_load:
+        base = pd.DataFrame({"k": keys[:6], "val": [f"b{i}" for i in range(6)]})
+        store.bulk_load(spark, base)
+        model.update(zip(base["k"], base["val"]))
+    seq = 0
+    for step in range(6):
+        ks = [*rng.choice(keys, 5), keys[step]]    # keys[step] may repeat
+        ks.append(ks[0])                           # ks[0] repeats for sure
+        vals = [f"u{seq + j}" for j in range(len(ks))]
+        seq += len(ks)
+        store.upsert(pd.DataFrame({"k": ks, "val": vals}))
+        model.update(zip(ks, vals))
+        if step in (2, 4):
+            store.flush(spark)
+        got = store.snapshot(spark).toPandas()
+        assert len(got) == len(model), f"duplicate keys after step {step}"
+        assert dict(zip(got["k"], got["val"])) == model, f"step {step}"

@@ -134,3 +134,56 @@ def test_manager_distinguishes_partitions():
     m.register(h1)
     assert m.lookup("intake", 0) is h0
     assert m.lookup("intake", 1) is h1
+
+
+def test_passive_cancel_unblocks_a_blocked_put():
+    """A failed consumer cancels the holder; the producer blocked on the
+    full queue returns, and its next put raises."""
+    h = PassivePartitionHolder("intake", capacity=1)
+    h.put("a")
+    errors = []
+
+    def producer():
+        try:
+            h.put("b")          # blocks: queue full
+            h.put("c")          # raises: holder cancelled
+        except RuntimeError as e:
+            errors.append(e)
+
+    t = threading.Thread(target=producer, daemon=True)
+    t.start()
+    time.sleep(0.1)
+    assert t.is_alive()
+    h.cancel()
+    t.join(5)
+    assert not t.is_alive()
+    assert len(errors) == 1 and "closed" in str(errors[0])
+
+
+def test_active_close_and_join_bounded_after_downstream_failure():
+    """Downstream fails while the queue is full: close_and_join must not
+    block on a queue that nobody drains, and must surface the error."""
+    go = threading.Event()
+
+    def bad(_):
+        go.wait(5)
+        raise ValueError("disk full")
+
+    h = ActivePartitionHolder("storage", downstream=bad, capacity=2)
+    for i in range(3):          # one in downstream, two queued
+        h.push(i)
+    go.set()
+    outcome = []
+
+    def close():
+        try:
+            h.close_and_join(timeout=5)
+        except RuntimeError as e:
+            outcome.append(e)
+
+    t = threading.Thread(target=close, daemon=True)
+    t.start()
+    t.join(10)
+    assert not t.is_alive()
+    assert len(outcome) == 1 and isinstance(outcome[0].__cause__, ValueError)
+    assert h.forwarded == 0

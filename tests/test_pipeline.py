@@ -1,6 +1,9 @@
 """Decoupled pipeline: intake/compute/storage layering end-to-end."""
+import threading
+
 import pytest
 
+from repro.core import pipeline as pipeline_mod
 from repro.core.pipeline import DecoupledPipeline
 from repro.enrich import java_udfs, udfs
 from repro.storage.lsm_store import LsmStore
@@ -83,3 +86,78 @@ def test_pipeline_report_timings(spark, tmp_path):
     assert len(r.batch_times) == 4
     assert r.throughput > 0
     assert r.refresh_rate > 0
+
+
+class _Injected(Exception):
+    pass
+
+
+class _FailingJavaUdf:
+    """A Java-style UDF whose third evaluation raises."""
+
+    name = "failing"
+    refs = ()
+
+    def __init__(self):
+        self.calls = 0
+
+    def initialize(self, resources):
+        pass
+
+    def evaluate(self, batch):
+        self.calls += 1
+        if self.calls == 3:
+            raise _Injected("udf")
+        return batch
+
+
+class _FailingSink(StorageSink):
+    def append_pdf_local(self, pdf):
+        raise _Injected("sink")
+
+
+PIPELINE_THREADS = ("intake-job", "active-holder-storage")
+
+
+@pytest.mark.parametrize("layer", ["parser", "udf", "sink"])
+def test_pipeline_failure_surfaces_and_shuts_down(spark, tmp_path, monkeypatch,
+                                                  layer):
+    """A layer raising mid-feed, with both holders full, surfaces its error
+    within 30 s and leaves no pipeline thread running."""
+    udf = _FailingJavaUdf() if layer == "udf" else None
+    sink = (_FailingSink if layer == "sink" else StorageSink)(
+        spark, str(tmp_path / "out"), key="id")
+    if layer == "parser":
+        class FailingParser(pipeline_mod.TweetParser):
+            parsed = 0
+
+            def parse(self, frame):
+                FailingParser.parsed += 1
+                if FailingParser.parsed == 3:
+                    raise _Injected("parser")
+                return super().parse(frame)
+
+        monkeypatch.setattr(pipeline_mod, "TweetParser", FailingParser)
+    p = DecoupledPipeline(spark, udf, {}, sink, holder_capacity=1)
+    before = set(threading.enumerate())
+    outcome = []
+
+    def target():
+        try:
+            p.run(5000, batch_size=10)
+        except Exception as e:
+            outcome.append(e)
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(30)
+    assert not t.is_alive(), "pipeline did not shut down within 30 s"
+    err = outcome[0]
+    if layer == "sink":
+        assert isinstance(err, RuntimeError)
+        err = err.__cause__
+    assert isinstance(err, _Injected) and str(err) == layer
+    alive = [th.name for th in set(threading.enumerate()) - before
+             if th.name in PIPELINE_THREADS]
+    assert alive == []
+    assert len(p.manager) == 0
